@@ -4,8 +4,8 @@
 //! ([`pp_fastpath::SlicedTestbed`], the same rig the equivalence oracle
 //! and `pp-exp throughput` use).
 //!
-//! Engines are built once per target, so the worker threads are warm and
-//! iterations measure the steady state. Both sides clone the input wave
+//! Engines are built once per target, so the shards' switches are warm
+//! and iterations measure the steady state. Both sides clone the input wave
 //! per iteration (the engine consumes its inputs), keeping the comparison
 //! apples-to-apples. Speedup over scalar scales with the host's core
 //! count: each worker runs a full dataplane, so N cores can retire ~N

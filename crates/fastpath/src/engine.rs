@@ -2,14 +2,14 @@
 //!
 //! An [`Engine`] partitions a PayloadPark deployment with
 //! [`payloadpark::ShardPlan`] (the paper's §6.2.4 port→slice mapping) and
-//! owns one long-lived worker thread per shard. Each worker owns its
-//! shard's [`SwitchModel`] outright — register file included — and is fed
-//! over a pair of lock-free SPSC rings ([`crate::spsc`]): packet batches
-//! and control messages in, result arenas and snapshots out. Workers run
-//! batches through the batched dataplane
-//! ([`SwitchModel::process_batch`]), so MAT dispatch is amortized and
-//! every batch deparses into one arena; the threads persist across waves,
-//! so the steady state costs no spawns and no locks.
+//! owns one shard per slice: that slice's [`SwitchModel`] — register
+//! file included — and its control-plane view. Every driving call hands
+//! the engine a complete wave, so shards run to completion: the wave is
+//! routed into per-shard queues, shard 0 runs on the calling thread and
+//! shards `1..` on scoped threads, and the call returns once all of them
+//! are done. A shard cuts its queue into `batch`-sized slices and runs
+//! each through the batched dataplane ([`SwitchModel::process_batch`]),
+//! so MAT dispatch is amortized and every batch deparses into one arena.
 //!
 //! Determinism is preserved: a shard processes its packets in arrival
 //! order, a slice's register cells are only ever touched by its own
@@ -22,26 +22,23 @@
 
 use crate::adapter::reflect_outputs;
 use crate::adversity::adverse_return_wave;
-use crate::spsc::{self, Consumer, Producer};
 use payloadpark::program::build_switch;
 use payloadpark::{BuildError, CounterSnapshot, ParkConfig, PipeControl, ShardPlan};
 use pp_netsim::adversity::{AdversityProfile, FaultTally};
 use pp_packet::MacAddr;
 use pp_rmt::switch::{BatchOutput, BatchPacket, OutputRef, SwitchStats};
 use pp_rmt::{PortId, SwitchModel, SwitchOutput};
-use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
-use std::thread::{JoinHandle, Thread};
 
 /// Engine tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// Worker threads; the deployment needs at least this many slices.
+    /// Shards, one thread each while a wave runs; the deployment needs at
+    /// least this many slices.
     pub workers: usize,
-    /// Packets per batch message (the unit of amortization).
+    /// Packets per batch (the unit of amortization). It is also the span
+    /// of adversity reordering: a round trip merges each batch before the
+    /// next one splits.
     pub batch: usize,
-    /// Messages each SPSC ring can hold in flight.
-    pub ring_depth: usize,
 }
 
 impl Default for EngineConfig {
@@ -49,233 +46,118 @@ impl Default for EngineConfig {
         // 128-packet batches keep a batch's PHVs and payloads inside L2
         // while still amortizing dispatch; measured optimal on the
         // enterprise mix (64-128, falling off past 512).
-        EngineConfig { workers: 4, batch: 128, ring_depth: 16 }
+        EngineConfig { workers: 4, batch: 128 }
     }
 }
 
-/// What the dispatcher sends a worker. The ring is FIFO and the worker
-/// single-threaded, so control messages are ordered with the batches
-/// around them.
-enum WorkerMsg {
-    /// Process one batch, reply with its outputs.
-    Batch(Vec<BatchPacket>),
-    /// Process a batch, bounce every output off this shard's MAC-swap NF
-    /// server (readdressing it to `sink`), process the returns, reply with
-    /// the merge-side outputs. Keeps the whole Split → NF → Merge round
-    /// trip on the worker, as each slice's NF server is its own machine.
-    /// With `adversity` set, the worker's own injector mangles the two
-    /// internal legs (switch → NF and NF → switch) — every per-packet
-    /// fault is keyed on the sequence number, so per-shard injection
-    /// drops/duplicates/mutates exactly the packets a global injector
-    /// would. Reordering is the one batch-scoped effect: displacement
-    /// cannot carry a packet past the end of its batch, since each
-    /// Roundtrip merges its own returns before the next batch splits.
-    Roundtrip { pkts: Vec<BatchPacket>, sink: MacAddr, adversity: Option<Arc<AdversityProfile>> },
-    /// Add an L2 forwarding entry (fire and forget).
-    L2Add(MacAddr, PortId),
-    /// Reply with a control-plane snapshot.
-    Query,
-    /// Reply `Flushed` — everything before this message has been processed.
-    Flush,
-    /// Exit the worker loop.
-    Shutdown,
-}
-
-/// What a worker sends back.
-enum WorkerReply {
-    Out(BatchOutput),
-    State { counters: CounterSnapshot, stats: SwitchStats, occupancy: usize, tally: FaultTally },
-    Flushed,
-}
-
-struct WorkerHandle {
-    tx: Producer<WorkerMsg>,
-    rx: Consumer<WorkerReply>,
-    join: Option<JoinHandle<()>>,
-}
-
-/// The thread currently driving the engine. Workers unpark it after every
-/// reply; `Engine` re-captures it at the start of each driving call, so
-/// moving the engine to another thread keeps wakeups working (the lock is
-/// taken once per reply message, never per packet).
-type DispatcherSlot = Arc<Mutex<Thread>>;
-
-impl WorkerHandle {
-    /// Wakes the worker to look at its ring.
-    fn wake(&self) {
-        if let Some(join) = &self.join {
-            join.thread().unpark();
-        }
-    }
-
-    /// Pushes a message, parking while the ring is full but giving up if
-    /// the worker died (a panicked worker must not hang the dispatcher).
-    fn send(&mut self, mut msg: WorkerMsg) -> bool {
-        loop {
-            match self.tx.try_push(msg) {
-                Ok(()) => {
-                    self.wake();
-                    return true;
-                }
-                Err(back) => {
-                    if self.join.as_ref().is_none_or(|j| j.is_finished()) {
-                        return false;
-                    }
-                    msg = back;
-                    std::thread::park_timeout(IDLE_PARK);
-                }
-            }
-        }
-    }
-
-    /// Pops the next reply, parking while the ring is empty.
-    fn recv(&mut self) -> Option<WorkerReply> {
-        loop {
-            if let Some(reply) = self.rx.try_pop() {
-                return Some(reply);
-            }
-            if self.join.as_ref().is_none_or(|j| j.is_finished()) {
-                return self.rx.try_pop();
-            }
-            std::thread::park_timeout(IDLE_PARK);
-        }
-    }
-}
-
-/// How long an idle thread sleeps before re-checking its rings — a
-/// safety net against lost wakeups; real wakeups come from `unpark`.
-const IDLE_PARK: std::time::Duration = std::time::Duration::from_millis(1);
-
-/// Waits for `poll` to produce a value: a short yield-spin first (on a
-/// busy sibling this hands the core over directly, no futex round trip),
-/// then timed parks until the peer's `unpark` or the backstop fires.
-fn idle_wait<T>(mut poll: impl FnMut() -> Option<T>) -> T {
-    for _ in 0..128 {
-        if let Some(v) = poll() {
-            return v;
-        }
-        std::thread::yield_now();
-    }
-    loop {
-        if let Some(v) = poll() {
-            return v;
-        }
-        std::thread::park_timeout(IDLE_PARK);
-    }
-}
-
-/// The worker thread body: own the shard's switch, drain the ring. The
-/// worker parks while idle and is unparked by the dispatcher when work
-/// arrives; every reply unparks the dispatcher in turn, so neither side
-/// burns the other's cycles busy-polling (which on a single core would
-/// steal half the machine).
-fn worker_main(
-    mut switch: SwitchModel,
+/// One slice of the deployment and everything that runs it.
+struct Shard {
+    switch: SwitchModel,
     control: PipeControl,
-    mut rx: Consumer<WorkerMsg>,
-    mut tx: Producer<WorkerReply>,
-    dispatcher: DispatcherSlot,
-) {
-    let reply = |tx: &mut Producer<WorkerReply>, r: WorkerReply| {
-        tx.push(r);
-        dispatcher.lock().expect("dispatcher slot poisoned").unpark();
-    };
-    let mut tally = FaultTally::default();
-    // Split-side scratch, reused across round trips: only the merge-side
-    // arena crosses the ring, so this one's capacity stays with the worker.
-    let mut split_side = BatchOutput::new();
-    loop {
-        let msg = idle_wait(|| rx.try_pop());
-        match msg {
-            WorkerMsg::Batch(pkts) => {
-                let mut out = BatchOutput::new();
-                switch.process_batch(&pkts, &mut out);
-                reply(&mut tx, WorkerReply::Out(out));
+    tally: FaultTally,
+    /// Split-side arena of a round trip, reused across batches and waves:
+    /// only the merge-side arenas leave the shard.
+    split_side: BatchOutput,
+    /// The current wave's packets for this shard, in arrival order.
+    queue: Vec<BatchPacket>,
+}
+
+impl Shard {
+    /// Runs the queued wave batch by batch, one output arena per batch.
+    /// With a `sink`, each batch makes the whole Split → NF → Merge round
+    /// trip ([`Engine::process_roundtrip_adverse`]) before the next one
+    /// splits.
+    fn run(
+        &mut self,
+        batch: usize,
+        sink: Option<MacAddr>,
+        adversity: Option<&AdversityProfile>,
+    ) -> Vec<BatchOutput> {
+        let mut outs = Vec::with_capacity(self.queue.len().div_ceil(batch));
+        for pkts in self.queue.chunks(batch) {
+            let mut out = BatchOutput::new();
+            match sink {
+                None => self.switch.process_batch(pkts, &mut out),
+                Some(sink) => {
+                    self.switch.process_batch(pkts, &mut self.split_side);
+                    let back = match adversity {
+                        None => reflect_outputs(self.split_side.iter(), sink),
+                        Some(adv) => {
+                            // One copy off the arena views, unavoidable:
+                            // the injector mutates bytes.
+                            let wave = self
+                                .split_side
+                                .iter()
+                                .map(|o| BatchPacket {
+                                    bytes: o.bytes.to_vec(),
+                                    port: o.port,
+                                    seq: o.seq,
+                                })
+                                .collect();
+                            adverse_return_wave(adv, wave, sink, &mut self.tally)
+                        }
+                    };
+                    self.switch.process_batch(&back, &mut out);
+                }
             }
-            WorkerMsg::Roundtrip { pkts, sink, adversity } => {
-                switch.process_batch(&pkts, &mut split_side);
-                let back = match &adversity {
-                    None => reflect_outputs(split_side.iter(), sink),
-                    Some(adv) => {
-                        // This shard's own injector: mangle the two
-                        // internal legs around the MAC-swap NF. The wave
-                        // is built straight off the arena views (one copy,
-                        // unavoidable: the injector mutates bytes).
-                        let outs = split_side
-                            .iter()
-                            .map(|o| BatchPacket {
-                                bytes: o.bytes.to_vec(),
-                                port: o.port,
-                                seq: o.seq,
-                            })
-                            .collect();
-                        adverse_return_wave(adv, outs, sink, &mut tally)
-                    }
-                };
-                let mut merge_side = BatchOutput::new();
-                switch.process_batch(&back, &mut merge_side);
-                reply(&mut tx, WorkerReply::Out(merge_side));
-            }
-            WorkerMsg::L2Add(mac, port) => switch.l2_add(mac, port),
-            WorkerMsg::Query => {
-                let state = WorkerReply::State {
-                    counters: control.counters(&switch),
-                    stats: switch.stats(),
-                    occupancy: control.occupancy(&switch),
-                    tally,
-                };
-                reply(&mut tx, state);
-            }
-            WorkerMsg::Flush => reply(&mut tx, WorkerReply::Flushed),
-            WorkerMsg::Shutdown => return,
+            outs.push(out);
         }
+        self.queue.clear();
+        outs
     }
+}
+
+/// Runs `f` on every shard at once and returns the results in shard
+/// order: shards `1..` on scoped threads, shard 0 on the calling thread,
+/// so a one-shard engine spawns nothing. A panic on any shard resumes on
+/// the caller with its original payload — a failed shard never turns into
+/// a silently truncated result.
+fn run_scoped<S: Send, T: Send>(shards: &mut [S], f: impl Fn(&mut S) -> T + Sync) -> Vec<T> {
+    let (first, rest) = shards.split_first_mut().expect("a shard plan has at least one shard");
+    let f = &f;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = rest.iter_mut().map(|s| scope.spawn(move || f(s))).collect();
+        let mut results = Vec::with_capacity(handles.len() + 1);
+        results.push(f(first));
+        for handle in handles {
+            match handle.join() {
+                Ok(r) => results.push(r),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
+        }
+        results
+    })
 }
 
 /// The multi-worker Split/Merge execution engine.
 pub struct Engine {
     plan: ShardPlan,
-    cfg: EngineConfig,
-    workers: Vec<WorkerHandle>,
-    dispatcher: DispatcherSlot,
+    batch: usize,
+    shards: Vec<Shard>,
 }
 
 impl Engine {
-    /// Points the workers' wakeups at the calling thread — every entry
-    /// point that waits on replies does this first, so an `Engine` moved
-    /// across threads keeps its unpark path alive.
-    fn capture_dispatcher(&self) {
-        let current = std::thread::current();
-        let mut slot = self.dispatcher.lock().expect("dispatcher slot poisoned");
-        if slot.id() != current.id() {
-            *slot = current;
-        }
-    }
-}
-
-impl Engine {
-    /// Builds an engine for `park`, sharded `cfg.workers` ways, and starts
-    /// the worker threads. The threads live until the engine is dropped.
+    /// Builds an engine for `park`, sharded `cfg.workers` ways.
     pub fn new(park: &ParkConfig, cfg: EngineConfig) -> Result<Engine, BuildError> {
-        if cfg.batch == 0 || cfg.ring_depth == 0 {
-            return Err(BuildError::Config("batch and ring_depth must be positive".into()));
+        if cfg.batch == 0 {
+            return Err(BuildError::Config("batch must be positive".into()));
         }
         let plan = ShardPlan::new(park, cfg.workers).map_err(BuildError::Config)?;
-        let dispatcher: DispatcherSlot = Arc::new(Mutex::new(std::thread::current()));
-        let mut workers = Vec::with_capacity(plan.workers());
-        for (w, shard_cfg) in plan.configs().iter().enumerate() {
-            let (switch, handles) = build_switch(shard_cfg)?;
-            let control = PipeControl::new(handles[0].clone());
-            let (tx, in_rx) = spsc::ring::<WorkerMsg>(cfg.ring_depth);
-            let (out_tx, rx) = spsc::ring::<WorkerReply>(cfg.ring_depth);
-            let slot = Arc::clone(&dispatcher);
-            let join = std::thread::Builder::new()
-                .name(format!("pp-fastpath-{w}"))
-                .spawn(move || worker_main(switch, control, in_rx, out_tx, slot))
-                .expect("spawn fastpath worker");
-            workers.push(WorkerHandle { tx, rx, join: Some(join) });
-        }
-        Ok(Engine { plan, cfg, workers, dispatcher })
+        let shards = plan
+            .configs()
+            .iter()
+            .map(|shard_cfg| {
+                let (switch, handles) = build_switch(shard_cfg)?;
+                Ok(Shard {
+                    switch,
+                    control: PipeControl::new(handles[0].clone()),
+                    tally: FaultTally::default(),
+                    split_side: BatchOutput::new(),
+                    queue: Vec::new(),
+                })
+            })
+            .collect::<Result<_, BuildError>>()?;
+        Ok(Engine { plan, batch: cfg.batch, shards })
     }
 
     /// The shard plan in use.
@@ -283,16 +165,16 @@ impl Engine {
         &self.plan
     }
 
-    /// Number of worker threads.
+    /// Number of shards (worker threads while a wave runs).
     pub fn workers(&self) -> usize {
-        self.workers.len()
+        self.shards.len()
     }
 
     /// Adds an L2 forwarding entry to every shard (all shards share the
     /// switch's forwarding view, as all slices of one pipe do).
     pub fn l2_add(&mut self, mac: MacAddr, port: PortId) {
-        for w in &mut self.workers {
-            w.send(WorkerMsg::L2Add(mac, port));
+        for shard in &mut self.shards {
+            shard.switch.l2_add(mac, port);
         }
     }
 
@@ -300,14 +182,15 @@ impl Engine {
     ///
     /// Packets are routed to shards by ingress port (packets on ports
     /// outside the plan take the pure L2 path and go to shard 0), cut into
-    /// `batch`-sized messages, and processed concurrently. Within a shard,
-    /// arrival order is preserved end to end.
+    /// `batch`-sized batches, and processed concurrently. Within a shard,
+    /// arrival order is preserved end to end. A panic on any shard
+    /// propagates to the caller.
     pub fn process(&mut self, inputs: Vec<BatchPacket>) -> EngineOutput {
         self.run(inputs, None, None)
     }
 
     /// Runs one wave through the full Split → NF → Merge round trip: each
-    /// worker bounces its split-side outputs off its slice's MAC-swap NF
+    /// shard bounces its split-side outputs off its slice's MAC-swap NF
     /// server (readdressed to `sink`) and merges the returns, so the
     /// entire per-packet path executes shard-locally. Returns the
     /// merge-side (sink-bound) outputs.
@@ -316,7 +199,7 @@ impl Engine {
     }
 
     /// [`Engine::process_roundtrip`] under an adversity scenario: each
-    /// worker's own injector mangles the switch → NF and NF → switch legs
+    /// shard's own injector mangles the switch → NF and NF → switch legs
     /// of its shard. Decisions are keyed on `(seed, leg, seq)`, so the
     /// scenario is replayable from the profile's seed, and which packets
     /// are lost, duplicated, truncated or corrupted is independent of the
@@ -332,220 +215,80 @@ impl Engine {
         sink: MacAddr,
         adversity: &AdversityProfile,
     ) -> EngineOutput {
-        let adv = (!adversity.is_disabled()).then(|| Arc::new(adversity.clone()));
-        self.run(inputs, Some(sink), adv)
+        let adversity = (!adversity.is_disabled()).then_some(adversity);
+        self.run(inputs, Some(sink), adversity)
     }
 
     fn run(
         &mut self,
         inputs: Vec<BatchPacket>,
         sink: Option<MacAddr>,
-        adversity: Option<Arc<AdversityProfile>>,
+        adversity: Option<&AdversityProfile>,
     ) -> EngineOutput {
-        self.capture_dispatcher();
-        let n = self.workers.len();
-
-        // Shard the inputs by the port→slice mapping, then cut each
-        // shard's queue into batch messages.
-        let mut queues: Vec<Vec<BatchPacket>> = (0..n).map(|_| Vec::new()).collect();
         for pkt in inputs {
             let w = self.plan.shard_of_port(pkt.port.0).unwrap_or(0);
-            queues[w].push(pkt);
+            self.shards[w].queue.push(pkt);
         }
-        let mut chunks: Vec<VecDeque<Vec<BatchPacket>>> =
-            queues.into_iter().map(|q| chunked(q, self.cfg.batch)).collect();
-
-        // Dispatch and collect, interleaved so a full ring on either side
-        // can always drain: work is offered with try_push and replies are
-        // drained every round. A final Flush per worker marks the wave's
-        // end.
-        let mut results: Vec<Vec<BatchOutput>> = (0..n).map(|_| Vec::new()).collect();
-        let mut flush_sent = vec![false; n];
-        let mut flushed = vec![false; n];
-        let mut idle_rounds = 0u32;
-        while !flushed.iter().all(|&f| f) {
-            let mut progress = false;
-            for w in 0..n {
-                if !flush_sent[w] {
-                    if let Some(chunk) = chunks[w].pop_front() {
-                        let msg = match sink {
-                            Some(sink) => WorkerMsg::Roundtrip {
-                                pkts: chunk,
-                                sink,
-                                adversity: adversity.clone(),
-                            },
-                            None => WorkerMsg::Batch(chunk),
-                        };
-                        match self.workers[w].tx.try_push(msg) {
-                            Ok(()) => {
-                                self.workers[w].wake();
-                                progress = true;
-                            }
-                            Err(WorkerMsg::Batch(c))
-                            | Err(WorkerMsg::Roundtrip { pkts: c, .. }) => {
-                                chunks[w].push_front(c);
-                            }
-                            Err(_) => unreachable!("pushed a batch message"),
-                        }
-                    } else if self.workers[w].tx.try_push(WorkerMsg::Flush).is_ok() {
-                        self.workers[w].wake();
-                        flush_sent[w] = true;
-                        progress = true;
-                    }
-                }
-                while let Some(reply) = self.workers[w].rx.try_pop() {
-                    progress = true;
-                    match reply {
-                        WorkerReply::Out(out) => results[w].push(out),
-                        WorkerReply::Flushed => flushed[w] = true,
-                        WorkerReply::State { .. } => {}
-                    }
-                }
-            }
-            if progress {
-                idle_rounds = 0;
-            } else {
-                // A panicked worker can never flush; surface what we have
-                // instead of spinning forever (tests then see the damage).
-                for (w, handle) in self.workers.iter().enumerate() {
-                    if !flushed[w] && handle.join.as_ref().is_none_or(|j| j.is_finished()) {
-                        flushed[w] = true;
-                    }
-                }
-                // Same hybrid as the workers: yield first (direct hand-over
-                // on a saturated core), park once the wave has gone quiet.
-                idle_rounds += 1;
-                if idle_rounds < 128 {
-                    std::thread::yield_now();
-                } else {
-                    std::thread::park_timeout(IDLE_PARK);
-                }
-            }
-        }
-
-        EngineOutput { per_worker: results }
-    }
-
-    /// Control-plane snapshots from every worker, in worker order.
-    fn query(&mut self) -> Vec<(CounterSnapshot, SwitchStats, usize, FaultTally)> {
-        self.capture_dispatcher();
-        let mut states = Vec::with_capacity(self.workers.len());
-        for w in &mut self.workers {
-            if !w.send(WorkerMsg::Query) {
-                continue;
-            }
-            loop {
-                match w.recv() {
-                    Some(WorkerReply::State { counters, stats, occupancy, tally }) => {
-                        states.push((counters, stats, occupancy, tally));
-                        break;
-                    }
-                    Some(_) => continue, // stale wave replies cannot occur here, but be safe
-                    None => break,
-                }
-            }
-        }
-        states
+        let batch = self.batch;
+        EngineOutput { per_worker: run_scoped(&mut self.shards, |s| s.run(batch, sink, adversity)) }
     }
 
     /// Aggregated PayloadPark counters across all shards.
-    pub fn counters(&mut self) -> CounterSnapshot {
+    pub fn counters(&self) -> CounterSnapshot {
         let mut total = CounterSnapshot::default();
-        for (c, _, _, _) in self.query() {
-            total.add(&c);
+        for s in &self.shards {
+            total.add(&s.control.counters(&s.switch));
         }
         total
     }
 
     /// Aggregated switch statistics across all shards.
-    pub fn switch_stats(&mut self) -> SwitchStats {
+    pub fn switch_stats(&self) -> SwitchStats {
         let mut total = SwitchStats::default();
-        for (_, s, _, _) in self.query() {
-            total.add(&s);
+        for s in &self.shards {
+            total.add(&s.switch.stats());
         }
         total
     }
 
     /// Occupied lookup-table slots across all shards.
-    pub fn occupancy(&mut self) -> usize {
-        self.query().iter().map(|(_, _, o, _)| o).sum()
+    pub fn occupancy(&self) -> usize {
+        self.shards.iter().map(|s| s.control.occupancy(&s.switch)).sum()
     }
 
     /// Aggregated fault tally of the per-shard adversity injectors.
-    pub fn fault_tally(&mut self) -> FaultTally {
+    pub fn fault_tally(&self) -> FaultTally {
         let mut total = FaultTally::default();
-        for (_, _, _, t) in self.query() {
-            total.add(&t);
+        for s in &self.shards {
+            total.add(&s.tally);
         }
         total
     }
 
-    /// One telemetry registry for the whole engine: each worker's state
-    /// becomes a shard-labelled registry (plus that shard's inbound-ring
-    /// depth high-water mark), merged with an unlabelled aggregate view —
-    /// so the exposition carries both per-shard series and deployment
-    /// totals.
-    pub fn telemetry_registry(&mut self) -> pp_metrics::MetricsRegistry {
-        let states = self.query();
+    /// One telemetry registry for the whole engine: each shard's state
+    /// becomes a shard-labelled registry, merged with an unlabelled
+    /// aggregate view — so the exposition carries both per-shard series
+    /// and deployment totals.
+    pub fn telemetry_registry(&self) -> pp_metrics::MetricsRegistry {
         let mut total = pp_metrics::MetricsRegistry::new();
-        let mut agg_counters = CounterSnapshot::default();
-        let mut agg_stats = SwitchStats::default();
-        let mut agg_occupancy = 0;
-        let mut agg_tally = FaultTally::default();
-        for (w, (counters, stats, occupancy, tally)) in states.iter().enumerate() {
+        for (w, s) in self.shards.iter().enumerate() {
             let shard = w.to_string();
-            let labels = [("shard", shard.as_str())];
-            let mut reg =
-                crate::telemetry::dataplane_registry(counters, stats, *occupancy, tally, &labels);
-            let hw = reg.highwater(
-                "pp_ring_depth_highwater",
-                "Deepest observed in-flight depth of the shard's inbound SPSC ring.",
-                &labels,
-            );
-            reg.observe_high(hw, self.workers[w].tx.high_water() as u64);
-            total.merge_from(&reg);
-            agg_counters.add(counters);
-            agg_stats.add(stats);
-            agg_occupancy += occupancy;
-            agg_tally.add(tally);
+            total.merge_from(&crate::telemetry::dataplane_registry(
+                &s.control.counters(&s.switch),
+                &s.switch.stats(),
+                s.control.occupancy(&s.switch),
+                &s.tally,
+                &[("shard", shard.as_str())],
+            ));
         }
         total.merge_from(&crate::telemetry::dataplane_registry(
-            &agg_counters,
-            &agg_stats,
-            agg_occupancy,
-            &agg_tally,
+            &self.counters(),
+            &self.switch_stats(),
+            self.occupancy(),
+            &self.fault_tally(),
             &[],
         ));
         total
-    }
-}
-
-impl Drop for Engine {
-    fn drop(&mut self) {
-        for w in &mut self.workers {
-            w.send(WorkerMsg::Shutdown);
-        }
-        for w in &mut self.workers {
-            if let Some(join) = w.join.take() {
-                let _ = join.join();
-            }
-        }
-    }
-}
-
-/// Cuts a queue into `size`-packet messages, preserving order.
-fn chunked(mut q: Vec<BatchPacket>, size: usize) -> VecDeque<Vec<BatchPacket>> {
-    let mut out = VecDeque::new();
-    loop {
-        if q.len() <= size {
-            if !q.is_empty() {
-                out.push_back(q);
-            }
-            return out;
-        }
-        let rest = q.split_off(size);
-        out.push_back(q);
-        q = rest;
     }
 }
 
@@ -627,8 +370,7 @@ mod tests {
         workers: usize,
         fused: bool,
     ) -> (Vec<SwitchOutput>, CounterSnapshot) {
-        let mut engine =
-            TB.build_engine(EngineConfig { workers, batch: 16, ring_depth: 4 }).unwrap();
+        let mut engine = TB.build_engine(EngineConfig { workers, batch: 16 }).unwrap();
         let merged = if fused {
             engine.process_roundtrip(inputs, TB.sink_mac())
         } else {
@@ -659,8 +401,7 @@ mod tests {
 
     #[test]
     fn engine_survives_many_waves() {
-        let mut engine =
-            TB.build_engine(EngineConfig { workers: 2, batch: 32, ring_depth: 2 }).unwrap();
+        let mut engine = TB.build_engine(EngineConfig { workers: 2, batch: 32 }).unwrap();
         let mut emitted = 0;
         for wave in 0..10 {
             let out = engine.process_roundtrip(TB.counted_enterprise_wave(wave, 64), TB.sink_mac());
@@ -673,8 +414,7 @@ mod tests {
 
     #[test]
     fn telemetry_registry_aggregates_shards() {
-        let mut engine =
-            TB.build_engine(EngineConfig { workers: 2, batch: 16, ring_depth: 4 }).unwrap();
+        let mut engine = TB.build_engine(EngineConfig { workers: 2, batch: 16 }).unwrap();
         let _ = engine.process_roundtrip(TB.counted_enterprise_wave(3, 120), TB.sink_mac());
         let counters = engine.counters();
         assert!(counters.splits > 0);
@@ -684,11 +424,7 @@ mod tests {
         let s0 = reg.get("pp_splits_total", &[("shard", "0")]).unwrap().value();
         let s1 = reg.get("pp_splits_total", &[("shard", "1")]).unwrap().value();
         assert_eq!(s0 + s1, counters.splits as f64);
-        // Every shard pushed batches, so its ring saw at least one message.
-        for shard in ["0", "1"] {
-            let hw = reg.get("pp_ring_depth_highwater", &[("shard", shard)]).unwrap();
-            assert!(hw.value() >= 1.0, "shard {shard}: {}", hw.value());
-        }
+        assert!(s0 > 0.0 && s1 > 0.0, "both shards park: {s0} + {s1}");
     }
 
     #[test]
@@ -718,10 +454,9 @@ mod tests {
 
     #[test]
     fn engine_moved_across_threads_keeps_its_wakeups() {
-        // The dispatcher slot must follow the driving thread, not the
-        // thread that constructed the engine.
-        let mut engine =
-            TB.build_engine(EngineConfig { workers: 2, batch: 16, ring_depth: 4 }).unwrap();
+        // An engine built on one thread can be driven from another: it
+        // holds no handle to the thread that constructed it.
+        let mut engine = TB.build_engine(EngineConfig { workers: 2, batch: 16 }).unwrap();
         let (merged, counters) = std::thread::spawn(move || {
             let out = engine.process_roundtrip(TB.counted_enterprise_wave(5, 120), TB.sink_mac());
             (out.packets(), engine.counters())
@@ -748,8 +483,7 @@ mod tests {
             },
         };
         let run = |adv: &AdversityProfile| {
-            let mut engine =
-                TB.build_engine(EngineConfig { workers: 2, batch: 16, ring_depth: 4 }).unwrap();
+            let mut engine = TB.build_engine(EngineConfig { workers: 2, batch: 16 }).unwrap();
             let out = engine.process_roundtrip_adverse(
                 TB.counted_enterprise_wave(7, 240),
                 TB.sink_mac(),
@@ -774,11 +508,9 @@ mod tests {
     #[test]
     fn disabled_adversity_is_the_plain_roundtrip() {
         let inputs = TB.counted_enterprise_wave(9, 120);
-        let mut plain =
-            TB.build_engine(EngineConfig { workers: 2, batch: 16, ring_depth: 4 }).unwrap();
+        let mut plain = TB.build_engine(EngineConfig { workers: 2, batch: 16 }).unwrap();
         let expected = plain.process_roundtrip(inputs.clone(), TB.sink_mac()).to_seq_sorted();
-        let mut adverse =
-            TB.build_engine(EngineConfig { workers: 2, batch: 16, ring_depth: 4 }).unwrap();
+        let mut adverse = TB.build_engine(EngineConfig { workers: 2, batch: 16 }).unwrap();
         let got = adverse
             .process_roundtrip_adverse(inputs, TB.sink_mac(), &AdversityProfile::disabled())
             .to_seq_sorted();
@@ -790,16 +522,27 @@ mod tests {
     fn rejects_bad_configs() {
         assert!(TB.build_engine(EngineConfig { workers: 5, ..Default::default() }).is_err());
         assert!(TB.build_engine(EngineConfig { batch: 0, ..Default::default() }).is_err());
-        assert!(TB.build_engine(EngineConfig { ring_depth: 0, ..Default::default() }).is_err());
     }
 
     #[test]
-    fn chunking_preserves_order_and_sizes() {
-        let q = TB.counted_enterprise_wave(1, 10);
-        let chunks = chunked(q.clone(), 4);
-        assert_eq!(chunks.len(), 3);
-        let flat: Vec<u64> = chunks.iter().flatten().map(|p| p.seq).collect();
-        assert_eq!(flat, (0..10).collect::<Vec<u64>>());
-        assert!(chunked(Vec::new(), 4).is_empty());
+    #[should_panic]
+    fn shard_panic_reaches_the_caller() {
+        // A port beyond the chip is only the trigger (the scalar switch
+        // panics on it too); what is pinned is that a failed shard fails
+        // the call instead of returning a truncated `EngineOutput`.
+        let mut engine = TB.build_engine(EngineConfig { workers: 2, batch: 16 }).unwrap();
+        let mut wave = TB.counted_enterprise_wave(4, 40);
+        let mut poison = wave[0].clone();
+        poison.port = PortId(u16::MAX);
+        poison.seq = 40;
+        wave.push(poison);
+        let _ = engine.process_roundtrip(wave, TB.sink_mac());
+    }
+
+    #[test]
+    #[should_panic(expected = "shard 2 failed")]
+    fn spawned_shard_panic_resumes_on_the_caller() {
+        let mut shards = [0, 1, 2, 3];
+        let _ = run_scoped(&mut shards, |s| assert_ne!(*s, 2, "shard 2 failed"));
     }
 }

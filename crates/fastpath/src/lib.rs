@@ -9,8 +9,8 @@
 //! * [`payloadpark::ShardPlan`] partitions a deployment by the paper's
 //!   §6.2.4 port→slice mapping, giving each worker a disjoint slice of the
 //!   parking store's circular buffers;
-//! * [`engine::Engine`] owns one switch per shard and drives N worker
-//!   threads over lock-free SPSC rings ([`spsc`]), each worker processing
+//! * [`engine::Engine`] owns one switch per shard and runs each wave to
+//!   completion, one scoped thread per shard, each shard processing its
 //!   packet *batches* through the batched dataplane
 //!   ([`pp_rmt::SwitchModel::process_batch`]), which amortizes MAT
 //!   dispatch and deparses into a shared arena;
@@ -29,10 +29,11 @@
 //! holds the repository's oracle: identical counter totals and
 //! byte-identical merged captures at 2 and 4 shards.
 
+#![forbid(unsafe_code)]
+
 pub mod adapter;
 pub mod adversity;
 pub mod engine;
-pub mod spsc;
 pub mod telemetry;
 pub mod testbed;
 

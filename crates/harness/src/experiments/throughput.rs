@@ -95,8 +95,8 @@ pub fn throughput(effort: Effort) -> Series {
 
 /// The dataplane telemetry registry for one engine round trip over the
 /// throughput workload — what `pp-exp throughput --telemetry FILE` writes:
-/// per-shard and aggregate PayloadPark counters, switch statistics,
-/// occupancy and ring high-water marks.
+/// per-shard and aggregate PayloadPark counters, switch statistics and
+/// occupancy.
 pub fn throughput_telemetry(effort: Effort) -> pp_metrics::MetricsRegistry {
     let tb = testbed();
     let mut engine = tb.build_engine(EngineConfig { workers: 2, ..Default::default() }).unwrap();
@@ -191,7 +191,7 @@ mod tests {
         let reg = throughput_telemetry(Effort::Quick);
         let splits = reg.get("pp_splits_total", &[]).expect("aggregate splits family");
         assert!(splits.value() > 0.0, "the enterprise wave must split packets");
-        assert!(reg.get("pp_ring_depth_highwater", &[("shard", "0")]).is_some());
+        assert!(reg.get("pp_splits_total", &[("shard", "0")]).is_some());
     }
 
     #[test]

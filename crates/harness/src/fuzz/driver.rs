@@ -319,7 +319,7 @@ fn engine_run(
     workers: usize,
     bug: Bug,
 ) -> Result<PathResult, String> {
-    let mut engine = Engine::new(park, EngineConfig { workers, batch: 32, ring_depth: 4 })
+    let mut engine = Engine::new(park, EngineConfig { workers, batch: 32 })
         .map_err(|e| format!("engine ({workers} workers) build: {e}"))?;
     tb.wire(&mut |mac, port| engine.l2_add(mac, port));
     let mut tally = FaultTally::default();

@@ -126,7 +126,7 @@ fn scalar_run(waves: &[&[BatchPacket]], adv: &AdversityProfile) -> PathResult {
 }
 
 fn engine_run(waves: &[&[BatchPacket]], adv: &AdversityProfile, workers: usize) -> PathResult {
-    let mut engine = TB.build_engine(EngineConfig { workers, batch: 32, ring_depth: 4 }).unwrap();
+    let mut engine = TB.build_engine(EngineConfig { workers, batch: 32 }).unwrap();
     let mut tally = FaultTally::default();
     let mut delivered = Vec::new();
     for wave in waves {

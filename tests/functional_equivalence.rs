@@ -176,7 +176,7 @@ fn fp_engine(
     inputs: Vec<BatchPacket>,
     workers: usize,
 ) -> (Vec<SwitchOutput>, CounterSnapshot) {
-    let mut engine = tb.build_engine(EngineConfig { workers, batch: 32, ring_depth: 4 }).unwrap();
+    let mut engine = tb.build_engine(EngineConfig { workers, batch: 32 }).unwrap();
     let to_servers = engine.process(inputs);
     let back = reflect_outputs(to_servers.iter(), tb.sink_mac());
     let merged = engine.process(back);
@@ -301,7 +301,7 @@ proptest! {
 
         for workers in [2usize, 4] {
             let mut engine =
-                tb.build_engine(EngineConfig { workers, batch: 32, ring_depth: 4 }).unwrap();
+                tb.build_engine(EngineConfig { workers, batch: 32 }).unwrap();
             let mut tally = FaultTally::default();
             let outs = engine
                 .process(inputs.clone())
