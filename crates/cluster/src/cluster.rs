@@ -43,8 +43,8 @@ use pp_metrics::registry::MetricsRegistry;
 use pp_netsim::adversity::{AdversityProfile, FaultTally, SeqWindow};
 use pp_netsim::link::Link;
 use pp_netsim::time::{Bandwidth, SimDuration, SimTime};
-use pp_packet::MacAddr;
-use pp_rmt::switch::{BatchPacket, SwitchModel, SwitchOutput, SwitchStats};
+use pp_packet::{MacAddr, PAYLOADPARK_HEADER_LEN};
+use pp_rmt::switch::{BatchOutput, BatchPacket, SwitchModel, SwitchOutput, SwitchStats};
 use pp_rmt::PortId;
 use std::collections::BTreeMap;
 use std::sync::MutexGuard;
@@ -163,6 +163,8 @@ pub struct Cluster {
     /// Per-thousand of merge arrivals diverted to a pseudo-random live
     /// switch instead of their cable attachment (models stale routing).
     proxy_spray_permille: u16,
+    /// One-packet arena every merge deparses into, reused across waves.
+    merge_arena: BatchOutput,
 }
 
 impl Cluster {
@@ -184,6 +186,7 @@ impl Cluster {
             now: SimTime(0),
             next_id: cfg.switches as u32,
             proxy_spray_permille: 0,
+            merge_arena: BatchOutput::new(),
         };
         for &id in plan.switches() {
             let node = cluster.build_node(&plan, id, cluster.make_store(), Default::default())?;
@@ -312,7 +315,20 @@ impl Cluster {
     /// blacked-out switch are dropped at ingress; packets on ports no
     /// switch owns are dropped silently (no route exists anywhere).
     pub fn process_wave(&mut self, inputs: &[BatchPacket]) -> Vec<BatchPacket> {
-        let mut outs = Vec::new();
+        let split = self.split_wave(inputs);
+        split
+            .iter()
+            .map(|o| BatchPacket { bytes: o.bytes.to_vec(), port: o.port, seq: o.seq })
+            .collect()
+    }
+
+    /// The split phase into one arena sized for the wave: a split emits at
+    /// most its input plus one shim, so the arena never reallocates. The
+    /// caller drops it when the wave is done, so nothing wave-sized stays
+    /// resident between calls.
+    fn split_wave(&mut self, inputs: &[BatchPacket]) -> BatchOutput {
+        let bytes = inputs.iter().map(|p| p.bytes.len() + PAYLOADPARK_HEADER_LEN).sum();
+        let mut split = BatchOutput::with_capacity(inputs.len(), bytes);
         for pkt in inputs {
             let Some(owner) = self.plan.switch_of_port(pkt.port.0) else {
                 continue;
@@ -324,14 +340,9 @@ impl Cluster {
                 self.counters.blackout_drops += 1;
                 continue;
             }
-            outs.extend(
-                node.switch
-                    .process(&pkt.bytes, pkt.port, pkt.seq)
-                    .into_iter()
-                    .map(BatchPacket::from),
-            );
+            node.switch.process_into(&pkt.bytes, pkt.port, pkt.seq, &mut split);
         }
-        outs
+        split
     }
 
     /// Processes a wave of NF-return packets (the merge phase). Each
@@ -339,24 +350,34 @@ impl Cluster {
     /// cabled to; if that switch no longer owns the slice, the packet is
     /// proxy-forwarded to the owner over the inter-switch link.
     pub fn process_return_wave(&mut self, wave: Vec<BatchPacket>) -> Vec<SwitchOutput> {
-        let mut merged = Vec::new();
-        for pkt in wave {
-            let Some(owner) = self.plan.switch_of_port(pkt.port.0) else {
-                continue;
-            };
-            let via = self.arrival_switch(pkt.port.0, pkt.seq, owner);
-            if self.nodes.get(&via).is_none_or(|n| n.down) {
-                // The packet hit a dead (or departed) switch's front panel.
-                self.counters.blackout_drops += 1;
-                continue;
-            }
-            if via != owner && !self.proxy_forward(via, owner, &pkt) {
-                continue;
-            }
-            let node = self.nodes.get_mut(&owner).expect("owner checked in proxy_forward");
-            merged.extend(node.switch.process(&pkt.bytes, pkt.port, pkt.seq));
+        let mut merged = Vec::with_capacity(wave.len());
+        for pkt in &wave {
+            self.merge_one(&pkt.bytes, pkt.port, pkt.seq, &mut merged);
         }
         merged
+    }
+
+    /// Routes one merge-phase packet to its owner and merges it there:
+    /// the one place that applies arrival, blackout and proxy-forward
+    /// rules. The owner deparses into the reused one-packet arena; the
+    /// egress, if any, leaves as one exact-size owned output.
+    fn merge_one(&mut self, bytes: &[u8], port: PortId, seq: u64, merged: &mut Vec<SwitchOutput>) {
+        let Some(owner) = self.plan.switch_of_port(port.0) else {
+            return;
+        };
+        let via = self.arrival_switch(port.0, seq, owner);
+        if self.nodes.get(&via).is_none_or(|n| n.down) {
+            // The packet hit a dead (or departed) switch's front panel.
+            self.counters.blackout_drops += 1;
+            return;
+        }
+        if via != owner && !self.proxy_forward(via, owner, seq, bytes.len()) {
+            return;
+        }
+        let node = self.nodes.get_mut(&owner).expect("owner checked in proxy_forward");
+        node.switch.process_into(bytes, port, seq, &mut self.merge_arena);
+        merged.extend(self.merge_arena.iter().map(|o| o.to_owned()));
+        self.merge_arena.clear();
     }
 
     /// Where a return packet lands: its cable attachment, unless the
@@ -368,30 +389,31 @@ impl Cluster {
         }
         let roll = splitmix64(self.cfg.seed ^ splitmix64(seq).rotate_left(17));
         if roll % 1000 < u64::from(self.proxy_spray_permille) {
-            let ids: Vec<u32> = self.nodes.keys().copied().collect();
-            ids[(splitmix64(roll) % ids.len() as u64) as usize]
+            let pick = splitmix64(roll) % self.nodes.len() as u64;
+            *self.nodes.keys().nth(pick as usize).expect("pick is below the node count")
         } else {
             via
         }
     }
 
-    /// Carries one merge arrival from `via` to `owner`. Returns false
-    /// when the packet is lost (owner down, or link blackened for this
-    /// sequence); the flow stays parked and the books stay balanced.
-    fn proxy_forward(&mut self, via: u32, owner: u32, pkt: &BatchPacket) -> bool {
+    /// Carries one merge arrival of `len` bytes from `via` to `owner`.
+    /// Returns false when the packet is lost (owner down, or link
+    /// blackened for this sequence); the flow stays parked and the books
+    /// stay balanced.
+    fn proxy_forward(&mut self, via: u32, owner: u32, seq: u64, len: usize) -> bool {
         if self.nodes.get(&owner).is_none_or(|n| n.down) {
             self.counters.proxy_drops += 1;
             return false;
         }
         let key = link_key(via, owner);
-        if self.link_blackouts.get(&key).is_some_and(|ws| ws.iter().any(|w| w.contains(pkt.seq))) {
+        if self.link_blackouts.get(&key).is_some_and(|ws| ws.iter().any(|w| w.contains(seq))) {
             self.counters.proxy_drops += 1;
             return false;
         }
         let link = self.links.get_mut(&key).expect("live nodes are fully meshed");
-        self.now = link.transmit(self.now, pkt.bytes.len());
+        self.now = link.transmit(self.now, len);
         self.counters.proxy_merges += 1;
-        self.counters.link_bytes += pkt.bytes.len() as u64;
+        self.counters.link_bytes += len as u64;
         true
     }
 
@@ -401,6 +423,11 @@ impl Cluster {
     /// suffers the profile's two legs around the MAC-swap NF, then the
     /// survivors merge wherever their cables land them. On a one-switch
     /// cluster this is step-for-step the scalar reference loop.
+    ///
+    /// A calm profile reflects every packet in place in the split arena
+    /// and merges it from there. An active one copies the split wave out
+    /// once ([`Cluster::process_wave`]), because the injector takes owned
+    /// packets and mutates their bytes.
     pub fn roundtrip_adverse(
         &mut self,
         inputs: &[BatchPacket],
@@ -408,9 +435,21 @@ impl Cluster {
         adversity: &AdversityProfile,
         tally: &mut FaultTally,
     ) -> Vec<SwitchOutput> {
-        let to_servers = self.process_wave(inputs);
-        let back = adverse_return_wave(adversity, to_servers, sink, tally);
-        self.process_return_wave(back)
+        if !adversity.is_disabled() {
+            let back = adverse_return_wave(adversity, self.process_wave(inputs), sink, tally);
+            return self.process_return_wave(back);
+        }
+        let mut split = self.split_wave(inputs);
+        let mut merged = Vec::with_capacity(split.len());
+        for i in 0..split.len() {
+            let bytes = split.bytes_mut(i);
+            if bytes.len() >= 6 {
+                bytes[0..6].copy_from_slice(&sink.0);
+            }
+            let o = split.get(i);
+            self.merge_one(o.bytes, o.port, o.seq, &mut merged);
+        }
+        merged
     }
 
     /// Adds a fresh switch to the ring and migrates the slices its

@@ -36,6 +36,7 @@
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
@@ -180,6 +181,18 @@ impl SlotMeta {
     }
 }
 
+/// True when every byte of `bytes` is zero: the OR of all its 8-byte
+/// words (plus the tail), with no early exit, so a 160-byte payload is 20
+/// word loads the compiler can vectorize instead of a byte-wise scan.
+fn is_zeroed(bytes: &[u8]) -> bool {
+    let mut words = bytes.chunks_exact(8);
+    let acc = words.by_ref().fold(0u64, |acc, w| {
+        acc | u64::from_ne_bytes(w.try_into().expect("chunks_exact yields 8 bytes"))
+    });
+    let tail = words.remainder().iter().fold(0u8, |acc, b| acc | b);
+    acc == 0 && tail == 0
+}
+
 /// Shared probe logic: age, evict, occupy. Returns the outcome; `meta`
 /// holds the post-probe state.
 fn probe_meta(meta: &mut SlotMeta, tag: ParkTag) -> ProbeOutcome {
@@ -302,10 +315,7 @@ impl FlowStore for CircularStore {
         let mut out = Vec::new();
         for slot in range {
             let meta = self.meta[slot];
-            let live_payload = {
-                let region = self.payload_region(slot);
-                region.iter().any(|b| *b != 0)
-            };
+            let live_payload = !is_zeroed(self.payload_region(slot));
             if meta.is_zero() && !live_payload {
                 continue;
             }
@@ -444,6 +454,41 @@ enum PayloadRef {
     Spilled,
 }
 
+/// The slot-map hasher: one multiply by the 64-bit golden ratio, then the
+/// high half folded into the low. The map's bucket index (low bits) and
+/// control tag (top bits) both see every key bit, and a slot op costs a
+/// multiply instead of a SipHash round. SipHash's flooding resistance
+/// buys nothing here: keys enter the maps only from the program's own
+/// taggers ([`FlowStore::probe`]) and from migration
+/// ([`FlowStore::inject`]). A crafted wire tag can only look a slot up,
+/// never insert one.
+#[derive(Debug, Default, Clone, Copy)]
+struct SlotHasher(u64);
+
+impl Hasher for SlotHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0 ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        let h = n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+}
+
+/// A map keyed by slot index.
+type SlotMap<V> = HashMap<usize, V, BuildHasherDefault<SlotHasher>>;
+
 #[derive(Debug)]
 struct SlotState {
     meta: SlotMeta,
@@ -465,9 +510,9 @@ struct SlotState {
 pub struct SlabStore {
     slots: usize,
     blocks: usize,
-    states: HashMap<usize, SlotState>,
+    states: SlotMap<SlotState>,
     slab: Slab,
-    spill: HashMap<usize, Vec<u8>>,
+    spill: SlotMap<Vec<u8>>,
     /// Hot-slab capacity that triggers spilling (None = unbounded).
     hot_capacity: Option<usize>,
     /// Park order for the spill policy, lazily pruned: entries whose
@@ -485,9 +530,9 @@ impl SlabStore {
         SlabStore {
             slots,
             blocks,
-            states: HashMap::new(),
+            states: SlotMap::default(),
             slab: Slab::new(blocks * BLOCK_BYTES),
-            spill: HashMap::new(),
+            spill: SlotMap::default(),
             hot_capacity: None,
             park_order: VecDeque::new(),
             park_epoch: 0,
@@ -510,7 +555,7 @@ impl SlabStore {
     fn free_payload(
         states_entry: &mut SlotState,
         slab: &mut Slab,
-        spill: &mut HashMap<usize, Vec<u8>>,
+        spill: &mut SlotMap<Vec<u8>>,
         slot: usize,
     ) {
         match states_entry.payload.take() {
@@ -554,8 +599,7 @@ impl SlabStore {
             }
             let expired = self.states.get(&slot).expect("checked above").meta.exp == 0;
             if expired {
-                let drained =
-                    self.slab.get(handle).map(|d| d.iter().all(|b| *b == 0)).unwrap_or(true);
+                let drained = self.slab.get(handle).is_none_or(is_zeroed);
                 if drained {
                     // Nothing left to restore: evict instead of demoting.
                     let mut state = self.states.remove(&slot).expect("present");
@@ -586,12 +630,8 @@ impl SlabStore {
         }
         let drained = match state.payload {
             None => true,
-            Some(PayloadRef::Hot(h)) => {
-                self.slab.get(h).map(|d| d.iter().all(|b| *b == 0)).unwrap_or(true)
-            }
-            Some(PayloadRef::Spilled) => {
-                self.spill.get(&slot).map(|d| d.iter().all(|b| *b == 0)).unwrap_or(true)
-            }
+            Some(PayloadRef::Hot(h)) => self.slab.get(h).is_none_or(is_zeroed),
+            Some(PayloadRef::Spilled) => self.spill.get(&slot).is_none_or(|d| is_zeroed(d)),
         };
         if drained {
             let mut state = self.states.remove(&slot).expect("present");
@@ -737,7 +777,7 @@ impl FlowStore for SlabStore {
                 Some(PayloadRef::Spilled) => self.spill.get(&slot).cloned(),
                 None => None,
             };
-            let payload = payload.filter(|p| p.iter().any(|b| *b != 0));
+            let payload = payload.filter(|p| !is_zeroed(p));
             Self::free_payload(&mut state, &mut self.slab, &mut self.spill, slot);
             if state.meta.exp > 0 {
                 self.occupied -= 1;
@@ -1001,6 +1041,100 @@ mod tests {
         assert_eq!(out, block(0xD1));
         assert_eq!(s.spilled(), 0);
         assert_eq!(s.occupancy(), 0);
+    }
+
+    const DRAIN_BLOCKS: usize = 3;
+
+    /// Parks `payload` (`DRAIN_BLOCKS` blocks) in slot 9 under clk 1. With
+    /// `spill`, the hot tier holds one payload and a second flow parked in
+    /// slot 10 demotes slot 9's payload to the spill map.
+    fn parked_in_slot_9(payload: &[u8], spill: bool) -> SlabStore {
+        let mut s = if spill {
+            SlabStore::with_spill(64, DRAIN_BLOCKS, 1)
+        } else {
+            SlabStore::new(64, DRAIN_BLOCKS)
+        };
+        assert!(s.probe(9, tag(1)).parked);
+        for (j, data) in payload.chunks(BLOCK_BYTES).enumerate() {
+            s.store_block(9, j, data);
+        }
+        if spill {
+            assert!(s.probe(10, tag(2)).parked);
+            assert!(s.spill.contains_key(&9), "slot 9's payload demoted");
+        }
+        s
+    }
+
+    /// An all-zero payload has nothing left to drain once merged: the slot
+    /// is released at merge, and every later load reads zeros.
+    fn zero_payload_releases_at_merge(spill: bool) {
+        let mut s = parked_in_slot_9(&[0u8; DRAIN_BLOCKS * BLOCK_BYTES], spill);
+        assert_eq!(s.merge(9, 1), MergeOutcome::Restored { xsum: 0xBEEF, tsum: 0x1234 });
+        assert!(!s.states.contains_key(&9), "released at merge");
+        assert!(!s.spill.contains_key(&9), "spilled bytes released with the slot");
+        let mut out = [0u8; BLOCK_BYTES];
+        for j in 0..DRAIN_BLOCKS {
+            out.fill(0xFF);
+            s.load_block(9, j, &mut out);
+            assert_eq!(out, [0u8; BLOCK_BYTES], "block {j}");
+        }
+        assert_eq!(s.merge(9, 1), MergeOutcome::Duplicate);
+    }
+
+    /// A payload whose only nonzero byte is the very last one keeps its
+    /// slot through every load but the final one.
+    fn last_byte_payload_drains_on_final_load(spill: bool) {
+        let mut payload = [0u8; DRAIN_BLOCKS * BLOCK_BYTES];
+        payload[DRAIN_BLOCKS * BLOCK_BYTES - 1] = 0x5A;
+        let mut s = parked_in_slot_9(&payload, spill);
+        assert_eq!(s.merge(9, 1), MergeOutcome::Restored { xsum: 0xBEEF, tsum: 0x1234 });
+        let mut out = [0u8; BLOCK_BYTES];
+        for j in 0..DRAIN_BLOCKS - 1 {
+            assert!(s.states.contains_key(&9), "slot kept before load {j}");
+            s.load_block(9, j, &mut out);
+            assert_eq!(out, [0u8; BLOCK_BYTES], "block {j}");
+        }
+        assert!(s.states.contains_key(&9), "slot kept until the final load");
+        assert_eq!(s.spill.contains_key(&9), spill);
+        s.load_block(9, DRAIN_BLOCKS - 1, &mut out);
+        assert_eq!(out[BLOCK_BYTES - 1], 0x5A);
+        assert_eq!(out[..BLOCK_BYTES - 1], [0u8; BLOCK_BYTES - 1]);
+        assert!(!s.states.contains_key(&9), "released by the final load");
+        assert!(!s.spill.contains_key(&9));
+        assert_eq!(s.merge(9, 1), MergeOutcome::Duplicate);
+    }
+
+    #[test]
+    fn drained_zero_payload_releases_at_merge() {
+        zero_payload_releases_at_merge(false);
+    }
+
+    #[test]
+    fn drained_last_byte_payload_holds_until_final_load() {
+        last_byte_payload_drains_on_final_load(false);
+    }
+
+    #[test]
+    fn spilled_zero_payload_releases_at_merge() {
+        zero_payload_releases_at_merge(true);
+    }
+
+    #[test]
+    fn spilled_last_byte_payload_holds_until_final_load() {
+        last_byte_payload_drains_on_final_load(true);
+    }
+
+    #[test]
+    fn is_zeroed_sees_every_byte() {
+        for len in [0, 1, 7, 8, 9, 16, 160, 167] {
+            let mut bytes = vec![0u8; len];
+            assert!(is_zeroed(&bytes), "len {len}");
+            for i in 0..len {
+                bytes[i] = 0x80;
+                assert!(!is_zeroed(&bytes), "len {len}, byte {i}");
+                bytes[i] = 0;
+            }
+        }
     }
 
     /// The acceptance-criteria soak: park and restore over a million

@@ -192,11 +192,13 @@ pub fn tuple_sum(phv: &Phv) -> u16 {
 
 /// The transport checksum Merge should restore: the parked original,
 /// incrementally repaired (RFC 1624 Eqn. 3) when the NF rewrote any of
-/// the 5-tuple words while the payload was parked. A parked zero means
-/// the endpoint never computed a checksum (RFC 768) and stays zero.
+/// the 5-tuple words while the payload was parked. Only UDP gives zero a
+/// meaning (RFC 768): a parked UDP zero was never computed and stays
+/// zero, and a repaired UDP zero is sent as `0xFFFF`. A TCP checksum of
+/// zero is an ordinary value and is repaired like any other.
 /// Public for store-backed program variants ([`crate::storeprog`]).
-pub fn restored_checksum(stored_xsum: u16, stored_tsum: u16, tsum_now: u16) -> u16 {
-    if stored_xsum == 0 || tsum_now == stored_tsum {
+pub fn restored_checksum(udp: bool, stored_xsum: u16, stored_tsum: u16, tsum_now: u16) -> u16 {
+    if (udp && stored_xsum == 0) || tsum_now == stored_tsum {
         return stored_xsum;
     }
     let mut sum = u32::from(!stored_xsum) + u32::from(!stored_tsum) + u32::from(tsum_now);
@@ -204,9 +206,8 @@ pub fn restored_checksum(stored_xsum: u16, stored_tsum: u16, tsum_now: u16) -> u
         sum = (sum & 0xFFFF) + (sum >> 16);
     }
     let ck = !(sum as u16);
-    // A computed checksum of zero is transmitted as 0xFFFF (RFC 768); the
-    // NF-side incremental helpers normalize the same way.
-    if ck == 0 {
+    // The NF-side incremental helpers normalize UDP the same way.
+    if udp && ck == 0 {
         0xFFFF
     } else {
         ck
@@ -609,7 +610,9 @@ pub fn build_primary(
                             // with the payload, repaired for any 5-tuple
                             // rewrite the NF applied in flight; the annex
                             // path needs it bridged across recirculation.
-                            let xsum = restored_checksum(stored_xsum, stored_tsum, tuple_sum(phv));
+                            let udp = phv.udp.is_some();
+                            let xsum =
+                                restored_checksum(udp, stored_xsum, stored_tsum, tuple_sum(phv));
                             phv.set_transport_checksum(xsum);
                             phv.meta[META_XSUM] = u32::from(xsum);
                             match recirc_merge {
@@ -1031,11 +1034,15 @@ mod tests {
     fn restored_checksum_is_identity_when_header_unchanged() {
         // Same 5-tuple sum: the parked original comes back verbatim, even
         // for the ±0 edge representations.
-        for ck in [0x1234u16, 0x0000, 0xFFFF] {
-            assert_eq!(restored_checksum(ck, 0xABCD, 0xABCD), ck);
+        for udp in [true, false] {
+            for ck in [0x1234u16, 0x0000, 0xFFFF] {
+                assert_eq!(restored_checksum(udp, ck, 0xABCD, 0xABCD), ck);
+            }
         }
-        // A parked zero means "never computed" and stays zero regardless.
-        assert_eq!(restored_checksum(0, 0x1111, 0x2222), 0);
+        // A parked UDP zero means "never computed" and stays zero
+        // regardless; a parked TCP zero is a real checksum and is repaired.
+        assert_eq!(restored_checksum(true, 0, 0x1111, 0x2222), 0);
+        assert_eq!(restored_checksum(false, 0, 0x1111, 0x2222), 0xEEEE);
     }
 
     #[test]
@@ -1067,8 +1074,12 @@ mod tests {
             c.add_word(b);
             !c.finish()
         };
-        let repaired =
-            restored_checksum(original, tsum(src, dst, sp, dp), tsum(new_src, dst, new_sp, dp));
+        let repaired = restored_checksum(
+            true,
+            original,
+            tsum(src, dst, sp, dp),
+            tsum(new_src, dst, new_sp, dp),
+        );
         assert_eq!(repaired, expected);
     }
 

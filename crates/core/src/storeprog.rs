@@ -416,8 +416,12 @@ pub fn build_store_primary(
                             } else {
                                 ctx.counters[C_MERGES] += 1;
                                 phv.trace_flags |= decision::MERGE;
-                                let xsum =
-                                    restored_checksum(stored_xsum, stored_tsum, tuple_sum(phv));
+                                let xsum = restored_checksum(
+                                    phv.udp.is_some(),
+                                    stored_xsum,
+                                    stored_tsum,
+                                    tuple_sum(phv),
+                                );
                                 phv.set_transport_checksum(xsum);
                                 phv.meta[META_XSUM] = u32::from(xsum);
                                 apply_len_delta(phv, restore_primary - PP_LEN, ctx.counters);

@@ -11,7 +11,7 @@ use payloadpark::{ParkConfig, PipeControl, SliceSpec};
 use pp_packet::builder::{pattern, TcpPacketBuilder, UdpPacketBuilder};
 use pp_packet::parse::ParsedPacket;
 use pp_packet::ppark::{PayloadParkHeader, PpOpcode};
-use pp_packet::{MacAddr, UDP_STACK_HEADER_LEN};
+use pp_packet::{MacAddr, TCP_STACK_HEADER_LEN, UDP_STACK_HEADER_LEN};
 use pp_rmt::chip::ChipProfile;
 use pp_rmt::switch::{SwitchModel, SwitchOutput};
 use pp_rmt::PortId;
@@ -313,30 +313,47 @@ fn tcp_split_merge_is_identity_with_valid_checksums() {
     assert!(c.functionally_equivalent());
 }
 
-/// An NF that rewrites the 5-tuple while the payload is parked (NAT): it
-/// sees a zero transport checksum on the parked leg and leaves it alone
-/// (RFC 768); Merge must repair the restored checksum for the rewritten
-/// header, so the sink still receives a fully valid packet.
+/// A 512-byte TCP segment. With `zero_checksum`, its first payload word
+/// is a fixup chosen so the segment's checksum is `0x0000`, an ordinary
+/// TCP value: the fixup set to the checksum computed with a zero fixup
+/// brings the one's-complement sum to `0xFFFF`.
+fn tcp_segment(zero_checksum: bool) -> Vec<u8> {
+    let build = |fixup: u16| {
+        let mut payload = pattern(512 - TCP_STACK_HEADER_LEN, 21);
+        payload[..2].copy_from_slice(&fixup.to_be_bytes());
+        TcpPacketBuilder::new()
+            .dst_mac(server_mac())
+            .src_mac(MacAddr::from_index(1))
+            .payload(&payload)
+            .build()
+            .into_bytes()
+    };
+    let pkt = build(0);
+    if !zero_checksum {
+        return pkt;
+    }
+    let pkt = build(u16::from_be_bytes([pkt[50], pkt[51]]));
+    assert_eq!(&pkt[50..52], &[0, 0], "fixup must zero the checksum");
+    pkt
+}
+
+/// An NF that rewrites the 5-tuple while the payload is parked (NAT). On
+/// the parked leg it finds a zero transport checksum: UDP's "not
+/// computed" (RFC 768), which it leaves alone, or an ordinary TCP value,
+/// which it patches. Merge ignores the leg's value and repairs the
+/// restored checksum for the rewritten header, so the sink still
+/// receives a fully valid packet, also when the TCP original was 0x0000.
 #[test]
 fn merge_repairs_checksum_after_nat_style_rewrite() {
-    for tcp in [false, true] {
+    for (tcp, zero_original) in [(false, false), (true, false), (true, true)] {
         let (mut switch, control) = testbed(64, 1);
-        let pkt = if tcp {
-            TcpPacketBuilder::new()
-                .dst_mac(server_mac())
-                .src_mac(MacAddr::from_index(1))
-                .total_size(512, 21)
-                .build()
-                .into_bytes()
-        } else {
-            gen_packet(512, 21)
-        };
+        let pkt = if tcp { tcp_segment(zero_original) } else { gen_packet(512, 21) };
+        assert!(ParsedPacket::parse(&pkt).unwrap().verify_checksums());
 
         let out = switch.process(&pkt, PortId(GEN_PORT), 0);
         let mut at_server = out[0].bytes.clone();
         at_server[0..6].copy_from_slice(&sink_mac().0);
-        // The NAT: rewrite source IP and port, fix the IP header checksum,
-        // leave the zero ("not computed") transport checksum untouched.
+        // The NAT: rewrite source IP and port, fix the IP header checksum.
         at_server[26..30].copy_from_slice(&[198, 51, 100, 1]);
         at_server[34..36].copy_from_slice(&40_000u16.to_be_bytes());
         {
@@ -346,6 +363,10 @@ fn merge_repairs_checksum_after_nat_style_rewrite() {
         let tr = 34;
         let ck_off = if tcp { tr + 16 } else { tr + 6 };
         assert_eq!(&at_server[ck_off..ck_off + 2], &[0, 0], "parked leg carries no checksum");
+        if tcp {
+            // A TCP-aware NAT patches the leg's zero like any other value.
+            at_server[ck_off..ck_off + 2].copy_from_slice(&[0x5A, 0x5A]);
+        }
 
         let back = switch.process(&at_server, PortId(SERVER_PORT), 0);
         assert_eq!(back.len(), 1, "tcp={tcp}");
@@ -354,7 +375,8 @@ fn merge_repairs_checksum_after_nat_style_rewrite() {
         assert_eq!(merged.five_tuple().src_port, 40_000);
         assert!(
             merged.verify_checksums(),
-            "merged checksum must be valid for the NAT-rewritten header (tcp={tcp})"
+            "merged checksum must be valid for the NAT-rewritten header \
+             (tcp={tcp}, zero_original={zero_original})"
         );
         assert!(control.counters(&switch).functionally_equivalent());
     }

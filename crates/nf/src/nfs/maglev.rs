@@ -7,7 +7,7 @@
 //! minimal disruption when backends change.
 
 use crate::chain::{Nf, NfResult};
-use crate::nfs::incremental_checksum_update32;
+use crate::nfs::{incremental_checksum_update32, ChecksumField};
 use pp_packet::parse::FiveTuple;
 use pp_packet::Packet;
 use std::net::Ipv4Addr;
@@ -155,20 +155,17 @@ impl Nf for MaglevLb {
         bytes[ip_off + 16..ip_off + 20].copy_from_slice(&backend_ip.octets());
         // Patch the IP header checksum incrementally.
         let ip_ck = u16::from_be_bytes([bytes[ip_off + 10], bytes[ip_off + 11]]);
-        let step = |ck: u16, o: u16, n: u16| {
-            let mut sum = u32::from(!ck) + u32::from(!o) + u32::from(n);
-            while sum >> 16 != 0 {
-                sum = (sum & 0xFFFF) + (sum >> 16);
-            }
-            !(sum as u16)
-        };
-        let ip_ck = step(ip_ck, (old_dst >> 16) as u16, (new_dst >> 16) as u16);
-        let ip_ck = step(ip_ck, old_dst as u16, new_dst as u16);
+        let ip_ck = incremental_checksum_update32(ChecksumField::Raw, ip_ck, old_dst, new_dst);
         bytes[ip_off + 10..ip_off + 12].copy_from_slice(&ip_ck.to_be_bytes());
         // And the transport checksum (pseudo-header includes dst address).
         let ck_off = if proto == 17 { tr_off + 6 } else { tr_off + 16 };
         let old_ck = u16::from_be_bytes([bytes[ck_off], bytes[ck_off + 1]]);
-        let ck = incremental_checksum_update32(old_ck, old_dst, new_dst);
+        let ck = incremental_checksum_update32(
+            ChecksumField::transport(proto),
+            old_ck,
+            old_dst,
+            new_dst,
+        );
         bytes[ck_off..ck_off + 2].copy_from_slice(&ck.to_be_bytes());
 
         self.stats.dispatched += 1;

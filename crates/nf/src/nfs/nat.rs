@@ -7,7 +7,7 @@
 //! checksum recompute would be impossible.
 
 use crate::chain::{Nf, NfResult};
-use crate::nfs::{incremental_checksum_update, incremental_checksum_update32};
+use crate::nfs::{incremental_checksum_update, incremental_checksum_update32, ChecksumField};
 use pp_packet::parse::FiveTuple;
 use pp_packet::Packet;
 use std::collections::HashMap;
@@ -78,16 +78,22 @@ impl Nat {
         // Rewrite the IPv4 source address and fix the IP header checksum.
         bytes[ip_off + 12..ip_off + 16].copy_from_slice(&new_ip.octets());
         let ip_ck = u16::from_be_bytes([bytes[ip_off + 10], bytes[ip_off + 11]]);
-        let ip_ck =
-            incremental_checksum_update32_raw(ip_ck, u32::from(old_src_ip), u32::from(new_ip));
+        let ip_ck = incremental_checksum_update32(
+            ChecksumField::Raw,
+            ip_ck,
+            u32::from(old_src_ip),
+            u32::from(new_ip),
+        );
         bytes[ip_off + 10..ip_off + 12].copy_from_slice(&ip_ck.to_be_bytes());
         // Rewrite the transport source port and patch the UDP/TCP checksum
         // (which also covers the pseudo-header source address).
         bytes[tr_off..tr_off + 2].copy_from_slice(&new_port.to_be_bytes());
         let ck_off = if proto == 17 { tr_off + 6 } else { tr_off + 16 };
         let old_ck = u16::from_be_bytes([bytes[ck_off], bytes[ck_off + 1]]);
-        let ck = incremental_checksum_update32(old_ck, u32::from(old_src_ip), u32::from(new_ip));
-        let ck = incremental_checksum_update(ck, old_src_port, new_port);
+        let field = ChecksumField::transport(proto);
+        let ck =
+            incremental_checksum_update32(field, old_ck, u32::from(old_src_ip), u32::from(new_ip));
+        let ck = incremental_checksum_update(field, ck, old_src_port, new_port);
         bytes[ck_off..ck_off + 2].copy_from_slice(&ck.to_be_bytes());
     }
 
@@ -100,30 +106,22 @@ impl Nat {
         let bytes = pkt.bytes_mut();
         bytes[ip_off + 16..ip_off + 20].copy_from_slice(&orig_ip.octets());
         let ip_ck = u16::from_be_bytes([bytes[ip_off + 10], bytes[ip_off + 11]]);
-        let ip_ck =
-            incremental_checksum_update32_raw(ip_ck, u32::from(old_dst_ip), u32::from(orig_ip));
+        let ip_ck = incremental_checksum_update32(
+            ChecksumField::Raw,
+            ip_ck,
+            u32::from(old_dst_ip),
+            u32::from(orig_ip),
+        );
         bytes[ip_off + 10..ip_off + 12].copy_from_slice(&ip_ck.to_be_bytes());
         bytes[tr_off + 2..tr_off + 4].copy_from_slice(&orig_port.to_be_bytes());
         let ck_off = if proto == 17 { tr_off + 6 } else { tr_off + 16 };
         let old_ck = u16::from_be_bytes([bytes[ck_off], bytes[ck_off + 1]]);
-        let ck = incremental_checksum_update32(old_ck, u32::from(old_dst_ip), u32::from(orig_ip));
-        let ck = incremental_checksum_update(ck, old_dst_port, orig_port);
+        let field = ChecksumField::transport(proto);
+        let ck =
+            incremental_checksum_update32(field, old_ck, u32::from(old_dst_ip), u32::from(orig_ip));
+        let ck = incremental_checksum_update(field, ck, old_dst_port, orig_port);
         bytes[ck_off..ck_off + 2].copy_from_slice(&ck.to_be_bytes());
     }
-}
-
-/// IP-header checksum variant of the incremental update: the IP checksum is
-/// always present, so zero is *not* treated as "absent".
-fn incremental_checksum_update32_raw(old_ck: u16, old: u32, new: u32) -> u16 {
-    let step = |ck: u16, o: u16, n: u16| {
-        let mut sum = u32::from(!ck) + u32::from(!o) + u32::from(n);
-        while sum >> 16 != 0 {
-            sum = (sum & 0xFFFF) + (sum >> 16);
-        }
-        !(sum as u16)
-    };
-    let ck = step(old_ck, (old >> 16) as u16, (new >> 16) as u16);
-    step(ck, old as u16, new as u16)
 }
 
 impl Nf for Nat {

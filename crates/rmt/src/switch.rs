@@ -173,6 +173,12 @@ impl BatchOutput {
         Self::default()
     }
 
+    /// An empty output buffer with room for `packets` packets totalling
+    /// `bytes` wire bytes, so filling it up to that size never reallocates.
+    pub fn with_capacity(packets: usize, bytes: usize) -> Self {
+        BatchOutput { bytes: Vec::with_capacity(bytes), items: Vec::with_capacity(packets) }
+    }
+
     /// Drops the contents, keeping the allocations.
     pub fn clear(&mut self) {
         self.bytes.clear();
@@ -203,6 +209,13 @@ impl BatchOutput {
             latency_ns: it.latency_ns,
             bytes: &self.bytes[it.start..it.end],
         }
+    }
+
+    /// The `i`-th egressed packet's bytes, for rewriting in place (an NF
+    /// reflecting the packet straight out of the arena).
+    pub fn bytes_mut(&mut self, i: usize) -> &mut [u8] {
+        let it = self.items[i];
+        &mut self.bytes[it.start..it.end]
     }
 
     /// Iterates over the egressed packets in egress order.

@@ -6,12 +6,19 @@
 //! touch the heap at all. This test wraps the system allocator in a
 //! counting shim, runs two warm-up batches to size the pools, and then
 //! asserts the third batch performs exactly zero allocations.
+//!
+//! The cluster round trip has to hand its caller owned outputs, so its
+//! floor is one allocation per delivered packet (the output's bytes) plus
+//! a few per wave (the split arena and the output vector).
 
+use pp_cluster::{Cluster, ClusterConfig};
 use pp_fastpath::SlicedTestbed;
+use pp_netsim::adversity::{AdversityProfile, FaultTally};
 use pp_rmt::switch::BatchOutput;
 use pp_rmt::SwitchModel;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// Counts every allocation and reallocation routed through the global
 /// allocator (deallocations are free to happen — returning pooled memory
@@ -51,6 +58,13 @@ fn allocs() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
 }
 
+/// The counter is process-wide, so the tests in this file take turns.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Allocations a warm calm cluster wave may make beyond one per delivered
+/// packet: the split arena's bytes and items, and the output vector.
+const CLUSTER_WAVE_ALLOCS: u64 = 3;
+
 /// Runs `batches` identical waves through `process_batch` and returns the
 /// allocation count of the last one.
 fn allocs_in_last_batch(sw: &mut SwitchModel, tb: &SlicedTestbed, batches: usize) -> u64 {
@@ -68,6 +82,7 @@ fn allocs_in_last_batch(sw: &mut SwitchModel, tb: &SlicedTestbed, batches: usize
 
 #[test]
 fn warm_process_batch_never_allocates() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let tb = SlicedTestbed::new(8, 2048);
 
     // The full PayloadPark program: split-side block extraction, register
@@ -78,4 +93,31 @@ fn warm_process_batch_never_allocates() {
         park_allocs, 0,
         "3rd batch through the PayloadPark program allocated {park_allocs} times"
     );
+}
+
+#[test]
+fn warm_calm_cluster_roundtrip_allocates_once_per_delivered_packet() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let tb = SlicedTestbed::new(8, 2048);
+    let wave = tb.counted_enterprise_wave(23, 512);
+    let calm = AdversityProfile::disabled();
+    for switches in [1, 2] {
+        let mut cluster =
+            Cluster::new(&tb.config(), ClusterConfig::slab(switches)).expect("cluster builds");
+        tb.wire(&mut |mac, port| cluster.l2_add(mac, port));
+        let mut tally = FaultTally::default();
+        let (mut last, mut delivered) = (0, 0);
+        for _ in 0..3 {
+            let before = allocs();
+            let merged = cluster.roundtrip_adverse(&wave, tb.sink_mac(), &calm, &mut tally);
+            last = allocs() - before;
+            delivered = merged.len() as u64;
+        }
+        assert_eq!(delivered, wave.len() as u64, "{switches} switches: a calm wave delivers all");
+        assert!(
+            last <= delivered + CLUSTER_WAVE_ALLOCS,
+            "{switches} switches: 3rd wave allocated {last} times for {delivered} packets"
+        );
+        assert!(cluster.check_oracle().ok(), "{switches} switches: oracle");
+    }
 }
